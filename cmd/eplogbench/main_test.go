@@ -73,51 +73,63 @@ func TestScalingBenchReport(t *testing.T) {
 	}
 }
 
+// TestScalingOverwriteGuard drives the one provenance guard through both
+// checked-in report formats (BENCH_scaling.json and BENCH_net.json).
 func TestScalingOverwriteGuard(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name string, rep scalingReport) string {
-		t.Helper()
-		path := dir + "/" + name
-		b, err := json.Marshal(rep)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
+	for _, tc := range []struct {
+		name   string
+		report func(numCPU int, model string) any
+	}{
+		{"scaling", func(n int, m string) any { return scalingReport{NumCPU: n, CPUModel: m} }},
+		{"net", func(n int, m string) any { return netReport{NumCPU: n, CPUModel: m} }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			write := func(name string, rep any) string {
+				t.Helper()
+				path := dir + "/" + name
+				b, err := json.Marshal(rep)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, b, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return path
+			}
 
-	// A report from a bigger machine is protected...
-	big := write("big.json", scalingReport{NumCPU: 1 << 16, CPUModel: "many-core test host"})
-	err := guardScalingOverwrite(big, false)
-	if err == nil {
-		t.Fatal("guard allowed a 1-CPU run to overwrite a multi-core report")
-	}
-	if !strings.Contains(err.Error(), "-force") {
-		t.Errorf("refusal does not mention -force: %v", err)
-	}
-	// ...unless forced.
-	if err := guardScalingOverwrite(big, true); err != nil {
-		t.Errorf("-force did not override the guard: %v", err)
-	}
+			// A report from a bigger machine is protected...
+			big := write("big.json", tc.report(1<<16, "many-core test host"))
+			err := guardOverwrite(big, false)
+			if err == nil {
+				t.Fatal("guard allowed a 1-CPU run to overwrite a multi-core report")
+			}
+			if !strings.Contains(err.Error(), "-force") || !strings.Contains(err.Error(), "many-core test host") {
+				t.Errorf("refusal does not mention -force and the existing host: %v", err)
+			}
+			// ...unless forced.
+			if err := guardOverwrite(big, true); err != nil {
+				t.Errorf("-force did not override the guard: %v", err)
+			}
 
-	// A report from an equal or smaller machine is fair game.
-	small := write("small.json", scalingReport{NumCPU: 1})
-	if err := guardScalingOverwrite(small, false); err != nil {
-		t.Errorf("guard blocked overwriting an equal/smaller-host report: %v", err)
-	}
+			// A report from an equal or smaller machine is fair game.
+			small := write("small.json", tc.report(1, ""))
+			if err := guardOverwrite(small, false); err != nil {
+				t.Errorf("guard blocked overwriting an equal/smaller-host report: %v", err)
+			}
 
-	// Missing or unparseable files never block: no provenance to protect.
-	if err := guardScalingOverwrite(dir+"/absent.json", false); err != nil {
-		t.Errorf("guard blocked a missing file: %v", err)
-	}
-	garbled := dir + "/garbled.json"
-	if err := os.WriteFile(garbled, []byte("not json{"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := guardScalingOverwrite(garbled, false); err != nil {
-		t.Errorf("guard blocked an unparseable file: %v", err)
+			// Missing or unparseable files never block: no provenance to protect.
+			if err := guardOverwrite(dir+"/absent.json", false); err != nil {
+				t.Errorf("guard blocked a missing file: %v", err)
+			}
+			garbled := dir + "/garbled.json"
+			if err := os.WriteFile(garbled, []byte("not json{"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := guardOverwrite(garbled, false); err != nil {
+				t.Errorf("guard blocked an unparseable file: %v", err)
+			}
+		})
 	}
 }
 

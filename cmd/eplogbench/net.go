@@ -69,29 +69,6 @@ type netReport struct {
 	LockAmortization float64 `json:"lock_amortization"`
 }
 
-// guardNetOverwrite mirrors guardScalingOverwrite: the checked-in report's
-// throughput/latency columns must not be silently replaced by a run from a
-// smaller machine. Count ratios survive any host, but the report is one
-// file, so the same NumCPU provenance rule applies.
-func guardNetOverwrite(path string, force bool) error {
-	if force {
-		return nil
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil
-	}
-	var existing netReport
-	if json.Unmarshal(data, &existing) != nil {
-		return nil
-	}
-	if existing.NumCPU > runtime.NumCPU() {
-		return fmt.Errorf("refusing to overwrite %s: existing report was measured on %d CPUs (%s), this host has %d — rerun with -force to overwrite anyway",
-			path, existing.NumCPU, existing.CPUModel, runtime.NumCPU())
-	}
-	return nil
-}
-
 // netBenchEngine builds the benchmark array: RAM devices, 4 shards, and —
 // critically — device buffers enabled, which turns the lock-free read fast
 // path off so every read must take a shard lock and the locks/op column
@@ -266,7 +243,7 @@ func runNetMode(mode string, opts server.Options, conns, depth, opsPerConn int) 
 
 // runNetBench runs both modes and writes the report to path.
 func runNetBench(conns, opsPerConn int, path string, force bool) error {
-	if err := guardNetOverwrite(path, force); err != nil {
+	if err := guardOverwrite(path, force); err != nil {
 		return err
 	}
 	const depth = 16

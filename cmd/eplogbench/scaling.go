@@ -91,14 +91,15 @@ func cpuModel() string {
 	return ""
 }
 
-// guardScalingOverwrite protects the checked-in report's provenance: a
-// speedup column measured on a multi-core host must not be silently
-// replaced by a run from a smaller machine (a 1-CPU CI runner re-running
-// the sweep would overwrite real speedups with flat ones). It refuses
-// when an existing report at path was measured with more CPUs than this
-// host, unless force is set. A missing or unparseable file never blocks:
-// there is no provenance to protect.
-func guardScalingOverwrite(path string, force bool) error {
+// guardOverwrite protects a checked-in report's provenance: numbers
+// measured on a multi-core host must not be silently replaced by a run from
+// a smaller machine (a 1-CPU CI runner re-running the sweep would
+// overwrite real speedups with flat ones). It refuses when an existing
+// report at path was measured with more CPUs than this host, unless force
+// is set. Only the report's num_cpu and cpu_model fields are decoded, so
+// one guard serves every report. A missing or unparseable file never
+// blocks: there is no provenance to protect.
+func guardOverwrite(path string, force bool) error {
 	if force {
 		return nil
 	}
@@ -106,7 +107,10 @@ func guardScalingOverwrite(path string, force bool) error {
 	if err != nil {
 		return nil
 	}
-	var existing scalingReport
+	var existing struct {
+		NumCPU   int    `json:"num_cpu"`
+		CPUModel string `json:"cpu_model"`
+	}
 	if json.Unmarshal(data, &existing) != nil {
 		return nil
 	}
@@ -119,7 +123,7 @@ func guardScalingOverwrite(path string, force bool) error {
 
 // runScalingBench runs the shard sweep and writes the report to path.
 func runScalingBench(scale int64, maxShards, workers int, path string, force bool) error {
-	if err := guardScalingOverwrite(path, force); err != nil {
+	if err := guardOverwrite(path, force); err != nil {
 		return err
 	}
 	benchScale := scale / 8

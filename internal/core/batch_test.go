@@ -114,16 +114,15 @@ func TestWriteBatchFewerLockAcquisitions(t *testing.T) {
 	if batched != int64(eb.NumShards()) {
 		t.Errorf("batched acquisitions = %d, want one per shard (%d)", batched, eb.NumShards())
 	}
-	// The sharded one-op-per-entry path takes the shard lock at least once
-	// per op (twice for deferred updates: segment pass + update pass).
+	// One op per call takes the shard lock at least once per op.
 	if sequential < nOps {
 		t.Errorf("sequential acquisitions = %d, want >= one per op (%d)", sequential, nOps)
 	}
 }
 
 // TestWriteBatchSpanningOps checks multi-stripe ops of a multi-shard
-// engine fall back to the sharded path and still land correctly alongside
-// local ops.
+// engine, which run part by part over their shards after the shard
+// groups, still land correctly alongside local ops.
 func TestWriteBatchSpanningOps(t *testing.T) {
 	e := batchEngine(t, 4, 64)
 	defer e.Close()

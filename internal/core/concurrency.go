@@ -20,8 +20,10 @@ import (
 // What runs outside the critical path of those locks is the expensive,
 // embarrassingly parallel work inside one operation: Reed-Solomon
 // encode/reconstruct, chunk memcpy, and per-device span I/O in the
-// direct-stripe, log-stripe flush, parity-commit fold, read, and rebuild
-// paths. Those phases are expressed as task lists and handed to fanOut,
+// direct-stripe, log-stripe flush, parity-commit fold, and rebuild paths.
+// (Reads issue their chunks inline on one span per op: a span issues every
+// I/O at its start, so a fan-out would not change their end time.) Those
+// phases are expressed as task lists and handed to fanOut,
 // which runs them on a bounded workpool of cfg.Workers goroutines. Pool
 // tasks never touch engine metadata (inputs are captured before the fan-
 // out; outputs land in per-task slots or atomics folded back under the

@@ -52,7 +52,7 @@ const locChunkBits = 48
 // without any lock: the word is a single atomic load, and callers that
 // need the location to stay meaningful across a subsequent device read
 // validate the owning shard's seqlock epoch around the pair (see
-// readChunksFast).
+// readFast).
 //
 //eplog:hotpath
 func (e *EPLog) loadLatest(lba int64) Loc {
@@ -218,9 +218,14 @@ type EPLog struct {
 	// workers is max(1, cfg.Workers); pool tasks never take shard locks.
 	workers int
 
+	// lockedDevs records that every device is wrapped in a per-device
+	// mutex (device.Locked): set when several shards or workers may issue
+	// I/O at once. Without it only an exclusive shard lock may touch the
+	// devices.
+	lockedDevs bool
 	// fastReads enables the lock-free optimistic read pass: set when the
 	// engine has no RAM buffers (device or stripe), whose maps cannot be
-	// consulted without the shard lock. See readChunksFast.
+	// consulted without the shard lock. See readFast.
 	fastReads bool
 
 	geo     store.Geometry
@@ -257,8 +262,8 @@ type EPLog struct {
 	// lockAcquired bracket — the denominator of the batching payoff
 	// (ShardLockAcquisitions).
 	lockAcqs atomic.Int64
-	// readLockAcqs counts shared shard-lock acquisitions on the read paths
-	// (ReadChunks' locked fallback and ReadBatch's group fallback) — the
+	// readLockAcqs counts shared shard-lock acquisitions of locked read
+	// passes (readPass's fallback from the lock-free pass) — the
 	// read-side counterpart (ReadLockAcquisitions).
 	readLockAcqs atomic.Int64
 
@@ -269,10 +274,11 @@ type EPLog struct {
 	mCommitFlushLat *obs.Histogram
 	mCommitFoldLat  *obs.Histogram
 	mDegradedReads  *obs.Counter
-	// Read-batching telemetry: batches entered, ops carried, groups that
-	// fell back to (or started on) the shared-lock path, and read-path
-	// shared lock acquisitions — the scrapeable form of the batching
-	// payoff, asserted by the CI batching-regression smoke.
+	// Read-batching telemetry: batches entered (a ReadChunks call is a
+	// one-op batch), ops carried, shared-engine read passes that fell back
+	// to (or started on) the shared-lock path, and read-path shared lock
+	// acquisitions — the scrapeable form of the batching payoff, asserted
+	// by the CI batching-regression smoke.
 	cReadBatches     *obs.Counter
 	cReadBatchOps    *obs.Counter
 	cReadBatchLocked *obs.Counter
@@ -341,7 +347,8 @@ func New(devs, logDevs []device.Dev, cfg Config) (*EPLog, error) {
 	nShards = max(1, nShards)
 
 	workers := max(1, cfg.Workers)
-	if workers > 1 || nShards > 1 {
+	lockedDevs := workers > 1 || nShards > 1
+	if lockedDevs {
 		// Pool tasks and concurrent shard holders fan I/O out across
 		// goroutines, but the Dev contract lets implementations assume
 		// serialized access — so every device gets a per-device mutex as
@@ -352,6 +359,7 @@ func New(devs, logDevs []device.Dev, cfg Config) (*EPLog, error) {
 	e := &EPLog{
 		nShards:    int(nShards),
 		workers:    workers,
+		lockedDevs: lockedDevs,
 		fastReads:  cfg.DeviceBufferChunks == 0 && cfg.StripeBufferStripes == 0,
 		geo:        geo,
 		codes:      erasure.NewCache(erasure.Cauchy),

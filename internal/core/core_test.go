@@ -2,10 +2,12 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"github.com/eplog/eplog/internal/device"
+	"github.com/eplog/eplog/internal/obs"
 )
 
 const (
@@ -590,11 +592,49 @@ func TestVirginPartialWriteFormsLogStripe(t *testing.T) {
 	}
 }
 
+// TestStatsRequestCounting checks every write request counts once and
+// makes exactly one write root, on one shard and on four — including
+// requests that span shards, whose parts run under several shard locks.
 func TestStatsRequestCounting(t *testing.T) {
-	ta := newTestArray(t, 5, 4, Config{})
-	ta.mustWrite(t, 0, chunkData(90, 4))
-	ta.mustWrite(t, 0, chunkData(91, 1))
-	if got := ta.e.Stats().Requests; got != 2 {
-		t.Errorf("requests = %d, want 2", got)
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			sink := obs.NewSink(64)
+			sink.EnableSpans(obs.SpanConfig{Trees: 256})
+			ta := newTestArray(t, 5, 4, Config{Shards: shards, Obs: sink})
+			defer ta.e.Close()
+			k := int64(ta.k)
+			reqs := []struct {
+				lba int64
+				n   int
+			}{
+				{0, 4},                  // full stripe
+				{0, 1},                  // single-chunk update
+				{k - 1, 2},              // stripes 0 and 1: two shards when sharded
+				{0, int(ta.e.Chunks())}, // every stripe, so every shard
+				{3*k + 1, int(2 * k)},   // three stripes, partial at both ends
+			}
+			for i, r := range reqs {
+				ta.mustWrite(t, r.lba, chunkData(90+i, r.n))
+			}
+			if got := ta.e.Stats().Requests; got != int64(len(reqs)) {
+				t.Errorf("requests = %d, want %d", got, len(reqs))
+			}
+			roots := map[[2]int64]int{}
+			nRoots := 0
+			for _, s := range sink.Spans() {
+				if s.Kind == "write" {
+					roots[[2]int64{s.LBA, s.N}]++
+					nRoots++
+				}
+			}
+			if nRoots != len(reqs) {
+				t.Errorf("write roots = %d, want one per request (%d)", nRoots, len(reqs))
+			}
+			for _, r := range reqs {
+				if got := roots[[2]int64{r.lba, int64(r.n)}]; got != 1 {
+					t.Errorf("request [%d,+%d): %d write roots, want 1", r.lba, r.n, got)
+				}
+			}
+		})
 	}
 }

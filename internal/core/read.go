@@ -6,191 +6,7 @@ import (
 
 	"github.com/eplog/eplog/internal/bufpool"
 	"github.com/eplog/eplog/internal/device"
-	"github.com/eplog/eplog/internal/obs"
-	"github.com/eplog/eplog/internal/store"
 )
-
-// ReadChunks implements store.Store. Reads return the latest acknowledged
-// contents: buffered chunks come straight from memory, and chunks on
-// failed devices are reconstructed through whichever stripe protects their
-// latest version — the data stripe (committed) or a log stripe (pending).
-//
-// Reads are the fast path. On an engine without RAM buffers they first
-// try a fully lock-free pass: sample the touched shards' seqlock epochs,
-// look every location up through the packed atomic latest words, read the
-// devices, then re-validate the epochs — a read overlapping no writer
-// never touches a shard lock at all, so clean-stripe reads cannot contend
-// with writers on other stripes of the same shard. Any overlap with a
-// writer, any buffered state, or any device failure falls back to the
-// shared-lock path, which takes the touched shards' locks shared and
-// preserves the whole-request snapshot semantics. The remaining exception
-// is the fully serial engine (Shards=1, Workers=1), whose devices are
-// unwrapped and therefore need the exclusive lock to serialize
-// virtual-time accounting — exactly the old engine's behavior.
-func (e *EPLog) ReadChunks(start float64, lba int64, p []byte) (float64, error) {
-	nChunks := int64(len(p) / e.csize)
-	if int(nChunks)*e.csize != len(p) || nChunks == 0 {
-		return start, fmt.Errorf("core: buffer length %d not a positive chunk multiple", len(p))
-	}
-	if lba < 0 || lba+nChunks > e.geo.Chunks() {
-		return start, fmt.Errorf("%w: [%d,%d) of %d", store.ErrWriteTooLarge, lba, lba+nChunks, e.geo.Chunks())
-	}
-	shared := e.nShards > 1 || e.workers > 1 // devices are Locked-wrapped
-	if shared && e.fastReads {
-		if end, ok := e.readChunksFast(start, lba, nChunks, p); ok {
-			return end, nil
-		}
-	}
-	if shared {
-		e.forTouchedShards(lba, nChunks, func(sh *shard) {
-			sh.mu.RLock()
-			e.readLockAcqs.Add(1)
-			e.cReadLocks.Inc()
-		})
-		defer e.forTouchedShards(lba, nChunks, func(sh *shard) { sh.mu.RUnlock() })
-	} else {
-		sh := e.shards[0]
-		t0 := sh.lockClock()
-		sh.mu.Lock()
-		sh.lockAcquired(t0)
-		defer sh.mu.Unlock()
-		defer sh.lockReleasing()
-	}
-	span := device.NewSpan(start)
-	// Root span for this read, built goroutine-locally (reads under
-	// shared locks never touch sh.curOp; the recorder's own lock covers
-	// its pool and ring). Serial reads record per-device I/O leaves —
-	// including any degraded-read reconstruction traffic — directly on
-	// the root; the parallel fan-out records the op envelope only.
-	rsh := e.shardOfLBA(lba)
-	op := rsh.rec.Start(obs.SpanRead, rsh.idx, start, lba, nChunks)
-	defer func() { rsh.rec.Finish(op, span.End()) }()
-	if e.workers <= 1 {
-		span.SetRecorder(op)
-	}
-	// One pool task per chunk. The tasks only read metadata (the touched
-	// shard locks are held, so nothing mutates it) and their output
-	// buffers are disjoint sub-slices of p. With a single worker the
-	// chunks read inline on the caller's span, in task order — no
-	// closures built.
-	if e.workers <= 1 {
-		for off := int64(0); off < nChunks; off++ {
-			buf := p[off*int64(e.csize) : (off+1)*int64(e.csize)]
-			if err := e.readLBA(span, lba+off, buf); err != nil {
-				return span.End(), err
-			}
-		}
-	} else {
-		tasks := make([]func(*device.Span) error, nChunks)
-		for off := int64(0); off < nChunks; off++ {
-			buf := p[off*int64(e.csize) : (off+1)*int64(e.csize)]
-			cur := lba + off
-			tasks[off] = func(sp *device.Span) error {
-				return e.readLBA(sp, cur, buf)
-			}
-		}
-		if err := e.fanOut(span, tasks); err != nil {
-			// Partial-failure contract: the span's progress (not start)
-			// comes back with the error, covering the reads already issued.
-			return span.End(), err
-		}
-	}
-	if span.Err() != nil {
-		return span.End(), span.Err()
-	}
-	e.bumpVnow(span.End())
-	e.mReadLat.Observe(span.End() - start)
-	e.obs.Emit(obs.Event{Kind: obs.KindRead, T: start, Dur: span.End() - start,
-		Dev: -1, LBA: lba, N: nChunks})
-	return span.End(), nil
-}
-
-// readChunksFast is the optimistic lock-free read: an epoch-validated
-// (seqlock) pass that never takes a shard lock. It samples the touched
-// shards' epochs (any odd epoch means a writer is inside its critical
-// section — give up immediately), reads every chunk through the packed
-// atomic location words, and re-validates that no touched epoch moved. A
-// changed epoch means a writer overlapped the read and may have relocated
-// or released a chunk mid-flight, so the buffer contents are untrusted:
-// the pass reports !ok and the caller redoes the request under the shared
-// locks. Validating every touched shard for the whole request (not per
-// chunk) preserves the cross-chunk snapshot the RLock-all path provides.
-//
-// Only called when e.fastReads (no RAM buffers to consult — their maps
-// cannot be read without the lock) and the devices are Locked-wrapped.
-// Device errors (including ErrFailed) also fall back, so degraded reads
-// keep their locked reconstruction path. The span of an abandoned pass is
-// discarded; its device-clock advance is the same class of nondeterminism
-// the shared engine already accepts for lock contention.
-//
-//eplog:seqlock-read
-func (e *EPLog) readChunksFast(start float64, lba, nChunks int64, p []byte) (float64, bool) {
-	var stack [8]uint64
-	epochs := stack[:0]
-	valid := true
-	e.forTouchedShards(lba, nChunks, func(sh *shard) {
-		ep := sh.epoch.Load()
-		if ep&1 != 0 {
-			valid = false
-		}
-		epochs = append(epochs, ep)
-	})
-	if !valid {
-		return 0, false
-	}
-	span := device.NewSpan(start)
-	// Same per-chunk structure as the locked path: inline reads with one
-	// worker, one pool task per chunk otherwise. The tasks are lock-free,
-	// so they are always safe to run on the bounded pool.
-	if e.workers <= 1 {
-		for off := int64(0); off < nChunks; off++ {
-			buf := p[off*int64(e.csize) : (off+1)*int64(e.csize)]
-			loc := e.loadLatest(lba + off)
-			if span.Read(e.devs[loc.Dev], loc.Chunk, buf) != nil {
-				return 0, false
-			}
-		}
-	} else {
-		tasks := make([]func(*device.Span) error, nChunks)
-		for off := int64(0); off < nChunks; off++ {
-			buf := p[off*int64(e.csize) : (off+1)*int64(e.csize)]
-			cur := lba + off
-			tasks[off] = func(sp *device.Span) error {
-				loc := e.loadLatest(cur)
-				return sp.Read(e.devs[loc.Dev], loc.Chunk, buf)
-			}
-		}
-		if e.fanOut(span, tasks) != nil {
-			return 0, false
-		}
-	}
-	if span.Err() != nil {
-		return 0, false
-	}
-	i := 0
-	e.forTouchedShards(lba, nChunks, func(sh *shard) {
-		if sh.epoch.Load() != epochs[i] {
-			valid = false
-		}
-		i++
-	})
-	if !valid {
-		return 0, false
-	}
-	end := span.End()
-	e.bumpVnow(end)
-	e.mReadLat.Observe(end - start)
-	// Record the op envelope only after validation, so an abandoned pass
-	// leaves no trace and the locked retry records exactly one read. The
-	// recorder is internally locked and the times are explicit, so
-	// recording after completion yields the same tree.
-	rsh := e.shardOfLBA(lba)
-	op := rsh.rec.Start(obs.SpanRead, rsh.idx, start, lba, nChunks)
-	rsh.rec.Finish(op, end)
-	e.obs.Emit(obs.Event{Kind: obs.KindRead, T: start, Dur: end - start,
-		Dev: -1, LBA: lba, N: nChunks})
-	return end, true
-}
 
 // readLBA reads the latest contents of one logical chunk. The lock of the
 // shard owning the LBA's stripe must be held (shared suffices).

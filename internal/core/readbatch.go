@@ -1,12 +1,8 @@
 package core
 
 import (
-	"fmt"
-	"sync"
-
 	"github.com/eplog/eplog/internal/device"
 	"github.com/eplog/eplog/internal/obs"
-	"github.com/eplog/eplog/internal/store"
 )
 
 // Batched reads
@@ -16,17 +12,16 @@ import (
 // coalesces READ requests from many connections into one batch before
 // entering the engine, so unrelated clients amortize the per-request
 // synchronization. Where WriteBatch amortizes exclusive lock acquisitions,
-// ReadBatch amortizes the seqlock sampling of the lock-free fast path —
-// one epoch sample and one validation per shard group instead of one per
-// request — and, when buffers or degraded state force the slow path, one
+// ReadBatch amortizes the seqlock sampling of the lock-free pass — one
+// epoch sample and one validation per shard group instead of one per
+// request — and, when buffers or degraded state force the locked pass, one
 // shared lock acquisition per shard group instead of one per request.
 //
-// Within a group the ops are sorted by LBA and LBA-adjacent ops merge into
-// contiguous chunk scans, so a batch of sequential single-chunk reads
-// walks the address space in one ascending pass. Per-op observability is
-// preserved exactly: each op still gets its own SpanRead root, read
-// latency observation, and trace event, so span-vs-counter reconciliation
-// holds whether a read entered through ReadChunks or ReadBatch.
+// Within a group the ops are sorted by LBA, so a batch of sequential
+// single-chunk reads walks the address space in one ascending pass.
+// Per-op observability is preserved exactly: each op gets its own SpanRead
+// root, read latency observation, and trace event, so span-vs-counter
+// reconciliation holds whatever the batch size.
 //
 // Ordering: a batch takes each group's snapshot at one instant (one epoch
 // validation or one lock hold), so ops in one group see a consistent
@@ -45,132 +40,88 @@ type ReadOp struct {
 	Err error
 }
 
-// readBatchScratch holds a ReadBatch invocation's grouping tables and
-// per-op device spans. Pooled so a warmed-up engine's batched read steady
-// state allocates nothing; ReadBatch may run concurrently (the server's
-// read executors), so the pool — not a per-engine field — owns the frames.
-type readBatchScratch struct {
-	groups   [][]int
-	spanning []int
-	spans    []device.Span
+// ReadChunks implements store.Store as a one-op ReadBatch. Reads return
+// the latest acknowledged contents: buffered chunks come straight from
+// memory, and chunks on failed devices are reconstructed through whichever
+// stripe protects their latest version — the data stripe (committed) or a
+// log stripe (pending). A read spanning several shards is served as one
+// pass over all of them, so it sees a whole-request snapshot.
+func (e *EPLog) ReadChunks(start float64, lba int64, p []byte) (float64, error) {
+	sc := e.getBatch()
+	op := &sc.rop[0]
+	*op = ReadOp{LBA: lba, Buf: p, Start: start}
+	e.readBatch(sc, sc.rop[:])
+	end, err := op.End, op.Err
+	*op = ReadOp{} // do not pin the caller's buffer
+	batchPool.Put(sc)
+	return end, err
 }
 
-var readScratchPool = sync.Pool{New: func() any { return new(readBatchScratch) }}
-
 // ReadBatch applies every op, filling each op's End and Err in place.
-// Shard-local ops (all chunks in one stripe, or a single-shard engine) are
-// grouped per shard; each group runs as one epoch-validated lock-free pass
-// when the fast path is available, falling back to a single shared lock
-// hold for the whole group when validation fails or buffers/degraded state
-// force the slow path. Ops spanning several stripes of a multi-shard
-// engine, and every op on the fully serial engine (whose devices are
-// unwrapped and need the exclusive lock for virtual-time determinism),
-// fall back to the one-at-a-time ReadChunks path. Failures are per-op: a
+// Each shard's group is served by one readPass, on the caller's goroutine
+// for the first group and on one goroutine per further group; spanning ops
+// then get one pass each over their touched shards. Failures are per-op: a
 // bad or failed op never prevents the rest of the batch from running.
 func (e *EPLog) ReadBatch(ops []ReadOp) {
 	if len(ops) == 0 {
 		return
 	}
+	sc := e.getBatch()
+	e.readBatch(sc, ops)
+	batchPool.Put(sc)
+}
+
+//eplog:hotpath
+func (e *EPLog) readBatch(sc *batchScratch, ops []ReadOp) {
 	e.cReadBatches.Inc()
 	e.cReadBatchOps.Add(int64(len(ops)))
-	if e.nShards == 1 && e.workers == 1 {
-		// Serial engine: ReadChunks serializes on the exclusive lock and
-		// stays bit-identical to the unsharded engine.
-		for i := range ops {
-			op := &ops[i]
-			op.End, op.Err = e.ReadChunks(op.Start, op.LBA, op.Buf)
-		}
-		return
-	}
-
-	sc := readScratchPool.Get().(*readBatchScratch)
-	if cap(sc.groups) < e.nShards {
-		sc.groups = make([][]int, e.nShards)
-	}
-	groups := sc.groups[:e.nShards]
-	for i := range groups {
-		groups[i] = groups[i][:0]
-	}
-	if cap(sc.spans) < len(ops) {
-		sc.spans = make([]device.Span, len(ops))
-	}
-	spans := sc.spans[:len(ops)]
-	spanning := sc.spanning[:0]
-
-	// Validate up front and classify, exactly as WriteBatch does.
+	sc.spans = grow(sc.spans, len(ops))
+	sc.epochs = grow(sc.epochs, e.nShards)
 	for i := range ops {
 		op := &ops[i]
-		op.End = op.Start
-		op.Err = nil
-		nChunks := int64(len(op.Buf) / e.csize)
-		if int(nChunks)*e.csize != len(op.Buf) || nChunks == 0 {
-			op.Err = fmt.Errorf("core: buffer length %d not a positive chunk multiple", len(op.Buf))
-			continue
-		}
-		if op.LBA < 0 || op.LBA+nChunks > e.geo.Chunks() {
-			op.Err = fmt.Errorf("%w: [%d,%d) of %d", store.ErrWriteTooLarge, op.LBA, op.LBA+nChunks, e.geo.Chunks())
-			continue
-		}
-		if e.nShards == 1 {
-			groups[0] = append(groups[0], i)
-			continue
-		}
-		first, _ := e.geo.Stripe(op.LBA)
-		last, _ := e.geo.Stripe(op.LBA + nChunks - 1)
-		if first == last {
-			si := int(first % int64(e.nShards))
-			groups[si] = append(groups[si], i)
-		} else {
-			// Consecutive stripes always land on different shards, so a
-			// multi-stripe op can never be shard-local here.
-			spanning = append(spanning, i)
+		n, err := e.checkOp(op.LBA, len(op.Buf), "buffer")
+		op.End, op.Err = op.Start, err
+		if err == nil {
+			sc.classify(e, i, op.LBA, n)
 		}
 	}
-
-	nGroups := 0
-	for si := range groups {
-		if len(groups[si]) == 0 {
+	first := -1
+	for si, g := range sc.groups {
+		if len(g) == 0 {
 			continue
 		}
-		nGroups++
 		// Ascending-LBA order inside the group turns adjacent ops into one
 		// contiguous scan; insertion sort keeps the grouping allocation-free.
-		sortByLBA(ops, groups[si])
+		sortByLBA(ops, g)
+		if first < 0 {
+			first = si
+			continue
+		}
+		sc.wg.Add(1)
+		go func() { //eplog:alloc-ok one closure per extra shard group; single-group batches run inline
+			e.readPass(e.shards[si:si+1], ops, g, sc.spans, sc.epochs[si:si+1])
+			sc.wg.Done()
+		}()
 	}
-	if nGroups == 1 {
-		for si, g := range groups {
-			if len(g) > 0 {
-				e.runReadGroup(e.shards[si], ops, g, spans)
-			}
-		}
-	} else if nGroups > 1 {
-		done := make(chan struct{}, nGroups)
-		for si, g := range groups {
-			if len(g) == 0 {
-				continue
-			}
-			sh, idxs := e.shards[si], g
-			go func() {
-				e.runReadGroup(sh, ops, idxs, spans)
-				done <- struct{}{}
-			}()
-		}
-		for i := 0; i < nGroups; i++ {
-			<-done
-		}
+	if first >= 0 {
+		e.readPass(e.shards[first:first+1], ops, sc.groups[first], sc.spans, sc.epochs[first:first+1])
 	}
-	for _, i := range spanning {
+	sc.wg.Wait()
+	for j, i := range sc.spanning {
 		op := &ops[i]
-		op.End, op.Err = e.ReadChunks(op.Start, op.LBA, op.Buf)
+		n := int64(len(op.Buf) / e.csize)
+		sc.touched = e.touchedShards(sc.touched[:0], op.LBA, n)
+		e.readPass(sc.touched, ops, sc.spanning[j:j+1], sc.spans, sc.epochs[:len(sc.touched)])
 	}
-
-	sc.spanning = spanning[:0]
-	readScratchPool.Put(sc)
+	clear(sc.touched)
+	clear(sc.spans)
 }
 
 // sortByLBA insertion-sorts the op indices in idxs by their op's LBA.
 // Batches are small (the server bounds them at BatchMax), so insertion
 // sort wins over sort.Slice and allocates nothing.
+//
+//eplog:hotpath
 func sortByLBA(ops []ReadOp, idxs []int) {
 	for i := 1; i < len(idxs); i++ {
 		x := idxs[i]
@@ -183,106 +134,161 @@ func sortByLBA(ops []ReadOp, idxs []int) {
 	}
 }
 
-// runReadGroup executes one shard's ops: an epoch-validated lock-free pass
-// covering the whole group when available, else one shared lock hold for
-// the whole group. spans is the batch-wide per-op span table; the group
-// touches only its own ops' entries, so concurrent groups share it safely.
-func (e *EPLog) runReadGroup(sh *shard, ops []ReadOp, idxs []int, spans []device.Span) {
-	if e.fastReads && e.readGroupFast(sh, ops, idxs, spans) {
+// readPass serves ops[idxs], every one of which lies within the shards of
+// set (ascending), as one snapshot. spans is the batch-wide per-op span
+// table and epochs holds one seqlock slot per shard of set; the pass
+// touches only its own entries, so concurrent passes share both safely.
+//
+// Devices of the serial engine (one shard, one worker) are unwrapped, so
+// its pass takes the exclusive lock to serialize device access and
+// virtual-time accounting — exactly the unsharded engine's behaviour. On
+// Locked-wrapped devices the pass first tries the lock-free readFast and
+// falls back to holding every shard of set shared.
+//
+//eplog:hotpath
+func (e *EPLog) readPass(set []*shard, ops []ReadOp, idxs []int, spans []device.Span, epochs []uint64) {
+	if !e.lockedDevs {
+		sh := set[0]
+		t0 := sh.lockClock()
+		sh.mu.Lock()
+		sh.lockAcquired(t0)
+		e.readLocked(ops, idxs, spans)
+		sh.lockReleasing()
+		sh.mu.Unlock()
 		return
 	}
-	// One shared acquisition covers every op in the group — the read-side
-	// batching payoff (ReadLockAcquisitions is the numerator).
-	sh.mu.RLock()
-	e.readLockAcqs.Add(1)
-	e.cReadLocks.Inc()
-	e.cReadBatchLocked.Inc()
-	for _, i := range idxs {
-		op := &ops[i]
-		sp := &spans[i]
-		sp.Reset(op.Start)
-		nChunks := int64(len(op.Buf) / e.csize)
-		for off := int64(0); off < nChunks; off++ {
-			buf := op.Buf[off*int64(e.csize) : (off+1)*int64(e.csize)]
-			if err := e.readLBA(sp, op.LBA+off, buf); err != nil {
-				op.Err = err
-				break
-			}
-		}
-		if op.Err == nil && sp.Err() != nil {
-			op.Err = sp.Err()
-		}
-		op.End = sp.End()
+	if e.fastReads && e.readFast(set, ops, idxs, spans, epochs) {
+		return
 	}
-	sh.mu.RUnlock()
-	for _, i := range idxs {
-		if ops[i].Err == nil {
-			e.finishBatchRead(&ops[i])
-		}
+	// One shared acquisition per shard covers every op of the pass — the
+	// read-side batching payoff (ReadLockAcquisitions is the numerator).
+	for _, sh := range set {
+		sh.mu.RLock() //eplog:lockall set is in ascending shard order, and no pass holds a lock while taking another's
+	}
+	e.readLockAcqs.Add(int64(len(set)))
+	e.cReadLocks.Add(int64(len(set)))
+	e.cReadBatchLocked.Inc()
+	e.readLocked(ops, idxs, spans)
+	for _, sh := range set {
+		sh.mu.RUnlock()
 	}
 }
 
-// readGroupFast is the group-wide optimistic pass: one epoch sample, one
-// contiguous scan over the sorted ops, one validation. Any odd or moved
-// epoch, or any device error (including ErrFailed — degraded reads keep
-// their locked reconstruction path), abandons the whole group and reports
-// false; the caller redoes it under the shared lock. Only called when
-// e.fastReads (no RAM buffers to consult).
+// readLocked reads ops[idxs] chunk by chunk with the owning shards'
+// locks held, reconstructing chunks on failed devices. Each op's SpanRead
+// root is started before its I/O and records every device read —
+// degraded-read reconstruction traffic included — as an io-read leaf.
 //
 //eplog:hotpath
-//eplog:seqlock-read
-func (e *EPLog) readGroupFast(sh *shard, ops []ReadOp, idxs []int, spans []device.Span) bool {
-	ep := sh.epoch.Load()
-	if ep&1 != 0 {
-		return false
-	}
-	// The group is sorted by LBA, so this loop is the coalesced scan:
-	// LBA-adjacent ops walk the packed location words and devices in one
-	// ascending pass, each chunk landing on its owning op's span.
+func (e *EPLog) readLocked(ops []ReadOp, idxs []int, spans []device.Span) {
 	for _, i := range idxs {
 		op := &ops[i]
 		sp := &spans[i]
 		sp.Reset(op.Start)
 		nChunks := int64(len(op.Buf) / e.csize)
-		for off := int64(0); off < nChunks; off++ {
-			buf := op.Buf[off*int64(e.csize) : (off+1)*int64(e.csize)]
-			loc := e.loadLatest(op.LBA + off)
-			if sp.Read(e.devs[loc.Dev], loc.Chunk, buf) != nil {
+		rsh := e.shardOfLBA(op.LBA)
+		root := rsh.rec.Start(obs.SpanRead, rsh.idx, op.Start, op.LBA, nChunks)
+		sp.SetRecorder(root)
+		lba, buf, csize := op.LBA, op.Buf, int64(e.csize)
+		var err error
+		for off := int64(0); off < nChunks && err == nil; off++ {
+			err = e.readLBA(sp, lba+off, buf[off*csize:(off+1)*csize])
+		}
+		if err == nil {
+			err = sp.Err()
+		}
+		op.Err = err
+		// Partial-failure contract: the span's progress (not the start)
+		// comes back with an error, covering the reads already issued.
+		op.End = sp.End()
+		sp.SetRecorder(nil)
+		e.finishRead(rsh, root, op)
+	}
+}
+
+// readFast is the optimistic lock-free pass: sample the epochs of every
+// shard of set (any odd epoch means a writer is inside its critical
+// section — give up at once), read every chunk through the packed atomic
+// location words, and re-validate that no epoch moved. A moved epoch means
+// a writer overlapped the pass and may have relocated or released a chunk
+// mid-flight, so the buffers are untrusted: the pass reports false and the
+// caller redoes it under the shared locks. Validating every shard for the
+// whole pass (not per chunk) preserves the cross-op snapshot of the locked
+// pass. Device errors (including ErrFailed) also fall back, so degraded
+// reads keep their locked reconstruction path. Only called when
+// e.fastReads (no RAM buffers, whose maps cannot be read without the
+// lock). The spans of an abandoned pass are simply reset by the retry.
+//
+//eplog:seqlock-read
+func (e *EPLog) readFast(set []*shard, ops []ReadOp, idxs []int, spans []device.Span, epochs []uint64) bool {
+	odd := false
+	forShards(set, func(j int, sh *shard) {
+		epochs[j] = sh.epoch.Load()
+		odd = odd || epochs[j]&1 != 0
+	})
+	if odd {
+		return false
+	}
+	for _, i := range idxs {
+		op := &ops[i]
+		sp := &spans[i]
+		sp.Reset(op.Start)
+		lba, buf, csize := op.LBA, op.Buf, int64(e.csize)
+		for off := int64(0); off < int64(len(buf))/csize; off++ {
+			loc := e.loadLatest(lba + off)
+			if sp.Read(e.devs[loc.Dev], loc.Chunk, buf[off*csize:(off+1)*csize]) != nil {
 				return false
 			}
 		}
 	}
-	if sh.epoch.Load() != ep {
+	moved := false
+	forShards(set, func(j int, sh *shard) {
+		moved = moved || sh.epoch.Load() != epochs[j]
+	})
+	if moved {
 		return false
 	}
+	// Record each op's envelope only after validation, so an abandoned
+	// pass leaves no trace and the locked retry records exactly one read.
+	// The recorder is internally locked and the times are explicit, so
+	// recording after completion yields the same tree.
 	for _, i := range idxs {
 		op := &ops[i]
 		op.End = spans[i].End()
-		e.finishBatchRead(op)
+		rsh := e.shardOfLBA(op.LBA)
+		e.finishRead(rsh, rsh.rec.Start(obs.SpanRead, rsh.idx, op.Start, op.LBA, int64(len(op.Buf)/e.csize)), op)
 	}
 	return true
 }
 
-// finishBatchRead records one successfully completed batched read: the
-// same envelope ReadChunks emits (latency observation, SpanRead root,
-// trace event), so batched and per-request reads are indistinguishable to
-// the flight recorder. The recorder is internally locked, so recording
-// after completion — outside any shard lock — yields the same tree.
-func (e *EPLog) finishBatchRead(op *ReadOp) {
-	nChunks := int64(len(op.Buf) / e.csize)
+// forShards calls f for each shard of set in order, with its index. The
+// lock-free pass samples and validates its epochs through it.
+func forShards(set []*shard, f func(int, *shard)) {
+	for j, sh := range set {
+		f(j, sh)
+	}
+}
+
+// finishRead publishes a read's SpanRead root on the recorder of the
+// shard owning its first stripe and, on success, records the latency
+// observation and trace event — the same envelope whichever pass served
+// the read, so the flight recorder cannot tell batched from single reads.
+//
+//eplog:hotpath
+func (e *EPLog) finishRead(rsh *shard, root *obs.Span, op *ReadOp) {
+	rsh.rec.Finish(root, op.End)
+	if op.Err != nil {
+		return
+	}
 	e.bumpVnow(op.End)
 	e.mReadLat.Observe(op.End - op.Start)
-	rsh := e.shardOfLBA(op.LBA)
-	sp := rsh.rec.Start(obs.SpanRead, rsh.idx, op.Start, op.LBA, nChunks)
-	rsh.rec.Finish(sp, op.End)
 	e.obs.Emit(obs.Event{Kind: obs.KindRead, T: op.Start, Dur: op.End - op.Start,
-		Dev: -1, LBA: op.LBA, N: nChunks})
+		Dev: -1, LBA: op.LBA, N: int64(len(op.Buf) / e.csize)})
 }
 
 // ReadLockAcquisitions returns the cumulative number of shared shard-lock
-// acquisitions taken on the read paths (the per-request fallback and the
-// batched group fallback). It is the read-side batching payoff metric:
-// coalescing N slow-path reads into one batch takes one acquisition per
-// touched shard group instead of one per op, and fast-path reads take
-// none at all.
+// acquisitions taken by locked read passes. It is the read-side batching
+// payoff metric: coalescing N locked reads into one batch takes one
+// acquisition per touched shard group instead of one per op, and
+// lock-free reads take none at all.
 func (e *EPLog) ReadLockAcquisitions() int64 { return e.readLockAcqs.Load() }

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"github.com/eplog/eplog/internal/device"
-	"github.com/eplog/eplog/internal/obs"
 )
 
 // readBatchOps builds nOps single-chunk reads round-robin over the first
@@ -49,8 +48,8 @@ func fillEngine(t *testing.T, e *EPLog, seed int64) []byte {
 }
 
 // TestReadBatchMatchesSequential reads the same op set batched and one at
-// a time and demands bit-identical results — across the serial engine
-// (which delegates to ReadChunks), the sharded fast path, mixed-shard
+// a time and demands bit-identical results — across the serial engine's
+// exclusive-lock pass, the sharded fast path, mixed-shard
 // groups, LBA-adjacent coalescing, and a multi-stripe spanning op.
 func TestReadBatchMatchesSequential(t *testing.T) {
 	for _, shards := range []int{1, 4} {
@@ -406,48 +405,5 @@ func TestReadBatchMatchesSerialSoak(t *testing.T) {
 				t.Fatalf("round %d read %d (lba %d): batched and serial replays diverge", round, i, rops[i].LBA)
 			}
 		}
-	}
-}
-
-// TestReadBatchAllocFree pins the steady-state zero-allocation property of
-// the batched read path (scratch pooling, insertion sort, span reuse) on a
-// single-group batch — the inline path the server's per-shard traffic
-// takes — with the flight recorder at full tilt, mirroring
-// TestSteadyStateUpdateAllocFree.
-func TestReadBatchAllocFree(t *testing.T) {
-	if testing.Short() {
-		t.Skip("allocation counting is noisy under -short race runs")
-	}
-	if raceEnabled {
-		t.Skip("race mode drops sync.Pool puts at random, so the scratch pool cannot stay warm")
-	}
-	sink := obs.NewSink(256)
-	sink.EnableSpans(obs.SpanConfig{Trees: 16, Sampling: obs.DefaultSpanSampling})
-	const k, n, stripes = 4, 5, 64
-	devs := make([]device.Dev, n)
-	for i := range devs {
-		devs[i] = device.NewMem(stripes*4, testChunk)
-	}
-	logs := []device.Dev{device.NewMem(stripes*8, testChunk)}
-	e, err := New(devs, logs, Config{K: k, Stripes: stripes, Shards: 2, Obs: sink})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	fillEngine(t, e, 13)
-
-	// All ops on even stripes -> shard 0 -> one group, inline execution.
-	ops := make([]ReadOp, 16)
-	bufs := make([]byte, len(ops)*testChunk)
-	for i := range ops {
-		s := int64(2 * (i % (stripes / 2)))
-		ops[i] = ReadOp{LBA: s * k, Buf: bufs[i*testChunk : (i+1)*testChunk]}
-	}
-	step := func() { e.ReadBatch(ops) }
-	for i := 0; i < 64; i++ {
-		step()
-	}
-	if avg := testing.AllocsPerRun(256, step); avg > 0 {
-		t.Errorf("steady-state batched read allocates %.2f objects/op, want 0", avg)
 	}
 }

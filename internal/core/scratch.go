@@ -17,7 +17,7 @@ import (
 // their scratch comes from a small stack of frames rather than dedicated
 // fields. Recursion depth is bounded (a commit never nests inside a
 // commit), so the stack stays at two or three frames for the life of the
-// shard. Non-reentrant paths (WriteChunks segmentation, direct stripe
+// shard. Non-reentrant paths (write segmentation, direct stripe
 // writes, the commit fold) use dedicated fields on shard.
 
 // opScratch is one frame of reentrancy-safe scratch for the grouping and

@@ -41,8 +41,8 @@ type shard struct {
 	e   *EPLog
 	idx int
 	// mu guards everything below plus the owned entries of the engine's
-	// latest/latestProt/commLoc/virgin slices. Readers (ReadChunks,
-	// Stats aggregation) take it shared; every mutation takes it
+	// latest/latestProt/commLoc/virgin slices. Readers (locked read
+	// passes, Stats aggregation) take it shared; every mutation takes it
 	// exclusively.
 	//
 	//eplog:shardlock
@@ -99,8 +99,8 @@ type shard struct {
 	// dedicated to non-reentrant paths.
 	scratchFree []*opScratch
 	lsFree      []*logStripe
-	wrSeg       []pendingChunk // serial WriteChunks per-stripe segment
-	wrUpdates   []pendingChunk // serial WriteChunks request-wide update set
+	wrSeg       []pendingChunk // writeStripes per-stripe segment
+	wrUpdates   []pendingChunk // writeStripes update set across the part's stripes
 	dsShards    [][]byte       // directStripeWrite shard headers
 	foldShards  [][]byte       // foldStripes serial-path shard headers
 	dirtyOrder  []int64        // commitAt dirty-stripe order
@@ -192,30 +192,23 @@ func (e *EPLog) unlockAll() {
 	}
 }
 
-// forTouchedShards calls f once per shard owning any stripe of the chunk
-// range [lba, lba+n), in ascending shard-index order.
-func (e *EPLog) forTouchedShards(lba, n int64, f func(*shard)) {
+// touchedShards appends to dst the shards owning any stripe of the chunk
+// range [lba, lba+n), in ascending index order.
+func (e *EPLog) touchedShards(dst []*shard, lba, n int64) []*shard {
 	lo, _ := e.geo.Stripe(lba)
 	hi, _ := e.geo.Stripe(lba + n - 1)
 	ns := int64(e.nShards)
 	if hi-lo+1 >= ns {
-		for _, sh := range e.shards {
-			f(sh)
-		}
-		return
+		return append(dst, e.shards...)
 	}
 	// Fewer stripes than shards: the touched residues form one (possibly
 	// wrapped) contiguous range.
 	r1, r2 := lo%ns, hi%ns
-	for i := int64(0); i < ns; i++ {
-		if r1 <= r2 && (i < r1 || i > r2) {
-			continue
-		}
-		if r1 > r2 && i < r1 && i > r2 {
-			continue
-		}
-		f(e.shards[i])
+	if r1 <= r2 {
+		return append(dst, e.shards[r1:r2+1]...)
 	}
+	dst = append(dst, e.shards[:r2+1]...)
+	return append(dst, e.shards[r1:]...)
 }
 
 // groupCommitter is the background group-commit scheduler of the sharded

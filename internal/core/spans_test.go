@@ -83,6 +83,7 @@ func TestSpanMetricsReconciliation(t *testing.T) {
 		logIOWrites    int64
 		foldIOReads    int64
 		foldIOWrites   int64
+		readIOReads    int64
 	)
 	ids := map[uint64]bool{}
 	for _, root := range spans {
@@ -119,6 +120,8 @@ func TestSpanMetricsReconciliation(t *testing.T) {
 				foldIOReads++
 			case s.Kind == "commit-fold" && c.Kind == "io-write":
 				foldIOWrites++
+			case s.Kind == "read" && c.Kind == "io-read":
+				readIOReads++
 			}
 		}
 	})
@@ -176,6 +179,10 @@ func TestSpanMetricsReconciliation(t *testing.T) {
 	if want := stats.LogStripeMembers + stats.LogChunkWrites; logIOWrites != want {
 		t.Errorf("io-write leaves under log-append = %d, want %d (members + log chunks)",
 			logIOWrites, want)
+	}
+	// Every chunk the test read is one device read (no device has failed).
+	if readIOReads != reads {
+		t.Errorf("io-read leaves under read roots = %d, want %d (one per chunk read)", readIOReads, reads)
 	}
 	if foldIOReads != stats.CommitReadChunks {
 		t.Errorf("io-read leaves under commit-fold = %d, Stats.CommitReadChunks = %d",

@@ -7,116 +7,52 @@ import (
 	"github.com/eplog/eplog/internal/bufpool"
 	"github.com/eplog/eplog/internal/device"
 	"github.com/eplog/eplog/internal/obs"
-	"github.com/eplog/eplog/internal/store"
 )
 
-// WriteChunks implements store.Store. New writes that span a full stripe
-// are written directly with their parity (saving the later commit); all
-// other writes take the elastic-logging path: data chunks go out-of-place
-// to their SSDs while log chunks — computed from the new data only —
-// stream to the log devices in the same phase. There is no pre-read
-// anywhere on the write path.
+// writePart runs the part of write op that sh owns: the stripes s of the
+// op's range with s % nShards == sh.idx, which on a one-shard engine is
+// every stripe. Each owned stripe's segment is routed (direct full-stripe
+// write, stripe buffer, or deferred); the deferred chunks of all owned
+// stripes form one update set, so elastic grouping spans stripes (Fig.
+// 1(b)); then the commit and log-pressure triggers fire. On one shard
+// this is bit-identical (byte counts and virtual time) to the unsharded
+// engine. sh.mu is held.
 //
-// With one shard the request runs under the single shard lock, on the
-// engine's pooled scratch — the zero-allocation serial hot path. With
-// several shards the request locks only the shards its stripes belong to,
-// one at a time, so concurrent writes to different stripe groups proceed
-// in parallel.
-func (e *EPLog) WriteChunks(start float64, lba int64, data []byte) (float64, error) {
-	nChunks := int64(len(data) / e.csize)
-	if int(nChunks)*e.csize != len(data) || nChunks == 0 {
-		return start, fmt.Errorf("core: data length %d not a positive chunk multiple", len(data))
-	}
-	if lba < 0 || lba+nChunks > e.geo.Chunks() {
-		return start, fmt.Errorf("%w: [%d,%d) of %d", store.ErrWriteTooLarge, lba, lba+nChunks, e.geo.Chunks())
-	}
-	if e.nShards > 1 {
-		return e.writeSharded(start, lba, nChunks, data)
-	}
-	sh := e.shards[0]
-	t0 := sh.lockClock()
-	sh.mu.Lock()
-	sh.lockAcquired(t0)
-	defer sh.mu.Unlock()
-	defer sh.lockReleasing()
-	return sh.writeSerial(start, lba, nChunks, data)
-}
-
-// writeSerial is the single-shard write path, bit-identical (byte counts
-// and virtual time) to the unsharded engine. sh.mu is held.
+// The part issues its I/O at op.Start and raises op.End to its completion
+// — or, on failure, to the progress made, so a caller replaying from the
+// returned time does not double-count virtual time (or stats) for work
+// already done. The first part (first) counts the request and starts the
+// op's SpanWrite root; later parts attach their phases to root. The root
+// is returned for the next part and the final Finish.
 //
 //eplog:hotpath
-func (sh *shard) writeSerial(start float64, lba, nChunks int64, data []byte) (float64, error) {
+func (sh *shard) writePart(op *BatchOp, root *obs.Span, first bool) *obs.Span {
 	e := sh.e
 	if e.gc != nil {
 		// Write-behind: surface any background fold failure before
 		// acknowledging more writes, and block while the dirty window is
 		// full (the wait releases the lock so the fold can run, then
 		// re-checks for an error the fold may have left behind).
-		if err := sh.takeAsyncErr(); err != nil {
-			return start, err
+		if op.Err = sh.takeAsyncErr(); op.Err != nil {
+			return root
 		}
 		sh.waitDirtyWindow()
-		if err := sh.takeAsyncErr(); err != nil {
-			return start, err
+		if op.Err = sh.takeAsyncErr(); op.Err != nil {
+			return root
 		}
 	}
-	sh.stats.Requests++
-	span := sh.newSpan(start)
-	// Root span for this write. Phase children (direct stripe writes, log
-	// appends) attach through sh.curOp; error paths still publish the
-	// tree with whatever progress the device span made.
-	op := sh.rec.Start(obs.SpanWrite, sh.idx, start, lba, nChunks)
+	nChunks := int64(len(op.Data) / e.csize)
+	if first {
+		sh.stats.Requests++
+		root = sh.rec.Start(obs.SpanWrite, sh.idx, op.Start, op.LBA, nChunks)
+	}
+	span := sh.newSpan(op.Start)
+	// Phase children (direct stripe writes, log appends) attach through
+	// sh.curOp.
 	prevOp := sh.curOp
-	sh.curOp = op //eplog:span-handoff finished by the deferred closure below
-	defer func() {
-		sh.curOp = prevOp
-		sh.rec.Finish(op, span.End())
-	}()
-
-	// Split into per-stripe segments; chunks not eligible for the direct
-	// or stripe-buffer paths accumulate into one request-wide update set
-	// so elastic grouping can span stripes (Fig. 1(b)). Both slices are
-	// shard scratch: the serial write cannot reenter itself (sh.mu), and
-	// the nested paths use their own frames.
-	updates := sh.wrUpdates[:0]
-	for off := int64(0); off < nChunks; {
-		s, _ := e.geo.Stripe(lba + off)
-		seg := sh.wrSeg[:0]
-		for ; off < nChunks; off++ {
-			s2, _ := e.geo.Stripe(lba + off)
-			if s2 != s {
-				break
-			}
-			seg = append(seg, pendingChunk{
-				lba:  lba + off,
-				data: data[off*int64(e.csize) : (off+1)*int64(e.csize)],
-			})
-		}
-		sh.wrSeg = seg
-		deferred, err := sh.writeSegment(span, s, seg)
-		if err != nil {
-			// Partial-failure contract: once device work has been issued,
-			// errors return the span's progress rather than start, so a
-			// caller replaying from the returned time does not double-
-			// count virtual time (or stats) for work already done.
-			sh.wrUpdates = updates
-			return span.End(), err
-		}
-		updates = append(updates, deferred...)
-	}
-	sh.wrUpdates = updates
-	if len(updates) > 0 {
-		if err := sh.updatePath(span, updates); err != nil {
-			clearPending(sh.wrUpdates)
-			return span.End(), err
-		}
-	}
-	// Drop data references so scratch reuse cannot pin caller buffers.
-	clearPending(sh.wrSeg[:cap(sh.wrSeg)])
-	clearPending(sh.wrUpdates[:cap(sh.wrUpdates)])
-
-	if e.cfg.CommitEvery > 0 {
+	sh.curOp = root //eplog:span-handoff finished by the op's finishWrite
+	op.Err = sh.writeStripes(span, op.LBA, nChunks, op.Data)
+	if op.Err == nil && e.cfg.CommitEvery > 0 {
 		sh.reqSinceCommit++
 		if sh.reqSinceCommit >= e.cfg.CommitEvery {
 			sh.cause = causeEvery
@@ -124,139 +60,61 @@ func (sh *shard) writeSerial(start float64, lba, nChunks int64, data []byte) (fl
 				// Write-behind: acknowledge at log-append; the fold runs
 				// on the background scheduler off the write critical path.
 				e.gc.enqueue(sh)
-			} else if err := sh.commit(); err != nil {
-				return span.End(), err
+			} else {
+				op.Err = sh.commit()
 			}
 		}
 	}
-	if e.gc != nil {
-		// Log-region pressure: fold before the region forces a synchronous
-		// commit inside a foreground flushGroup (same trigger as the
-		// sharded path).
+	if op.Err == nil && e.gc != nil {
+		// Log-region pressure: fold the shard before its region forces a
+		// synchronous commit inside a foreground flushGroup.
 		if region := sh.logLimit - sh.logStart; sh.logCursor-sh.logStart >= region-(region/4) {
 			sh.cause = causePressure
 			e.gc.enqueue(sh)
 		}
 	}
-	end := span.End()
+	sh.curOp = prevOp
+	op.End = max(op.End, span.End())
 	sh.freeSpan(span)
-	e.bumpVnow(end)
-	e.mWriteLat.Observe(end - start)
-	e.obs.Emit(obs.Event{Kind: obs.KindWrite, T: start, Dur: end - start, Dev: -1, LBA: lba, N: nChunks})
-	return end, nil
+	return root
 }
 
-// writeSharded is the multi-shard write path: the request's per-stripe
-// segments are routed to their owning shards one at a time (direct and
-// stripe-buffer paths run inline under that shard's lock; update chunks
-// are deferred per shard), then each touched shard's update set is
-// grouped and flushed under its lock, in shard-index order. Commit
-// triggers enqueue the shard on the background group-commit scheduler
-// instead of committing inline, so foreground writes to other shards are
-// never blocked behind a fold.
-func (e *EPLog) writeSharded(start float64, lba, nChunks int64, data []byte) (float64, error) {
-	span := device.NewSpan(start)
-	// The root span lives on the first touched shard's recorder (the same
-	// shard that counts the request); segments on other shards attach
-	// phase children carrying their own shard index. The tree is owned by
-	// this goroutine throughout — only one shard lock is held at a time,
-	// and sh.curOp hand-off happens under each shard's lock.
-	var (
-		op      *obs.Span
-		opRec   *obs.SpanRecorder
-		updates = make([][]pendingChunk, e.nShards)
-		touched = make([]bool, e.nShards)
-		seg     []pendingChunk
-		first   = true
-	)
-	defer func() { opRec.Finish(op, span.End()) }()
-	for off := int64(0); off < nChunks; {
-		s, _ := e.geo.Stripe(lba + off)
-		seg = seg[:0]
-		for ; off < nChunks; off++ {
-			s2, _ := e.geo.Stripe(lba + off)
-			if s2 != s {
-				break
-			}
-			seg = append(seg, pendingChunk{
-				lba:  lba + off,
-				data: data[off*int64(e.csize) : (off+1)*int64(e.csize)],
-			})
+// writeStripes routes the stripes of [lba, lba+nChunks) that sh owns and
+// flushes their shared update set. sh.mu is held.
+//
+//eplog:hotpath
+func (sh *shard) writeStripes(span *device.Span, lba, nChunks int64, data []byte) error {
+	e := sh.e
+	k, ns, csize := int64(e.geo.K), int64(e.nShards), int64(e.csize)
+	first, _ := e.geo.Stripe(lba)
+	last, _ := e.geo.Stripe(lba + nChunks - 1)
+	// Both slices are shard scratch: a write cannot reenter itself (sh.mu),
+	// and the nested paths use their own frames. Data references are
+	// dropped on return so scratch reuse cannot pin caller buffers.
+	defer func() {
+		clearPending(sh.wrSeg[:cap(sh.wrSeg)])
+		clearPending(sh.wrUpdates[:cap(sh.wrUpdates)])
+	}()
+	updates := sh.wrUpdates[:0]
+	for s := first + (int64(sh.idx)-first%ns+ns)%ns; s <= last; s += ns {
+		lo, hi := max(lba, s*k), min(lba+nChunks, (s+1)*k)
+		seg := sh.wrSeg[:0]
+		for c := lo; c < hi; c++ {
+			seg = append(seg, pendingChunk{lba: c, data: data[(c-lba)*csize : (c-lba+1)*csize]})
 		}
-		sh := e.shardOf(s)
-		t0 := sh.lockClock()
-		sh.mu.Lock()
-		sh.lockAcquired(t0)
-		if err := sh.takeAsyncErr(); err != nil {
-			sh.lockReleasing()
-			sh.mu.Unlock()
-			return span.End(), err
-		}
-		sh.waitDirtyWindow()
-		if err := sh.takeAsyncErr(); err != nil {
-			sh.lockReleasing()
-			sh.mu.Unlock()
-			return span.End(), err
-		}
-		if first {
-			sh.stats.Requests++
-			first = false
-			opRec = sh.rec
-			op = opRec.Start(obs.SpanWrite, sh.idx, start, lba, nChunks)
-		}
-		touched[sh.idx] = true
-		prevOp := sh.curOp
-		sh.curOp = op //eplog:span-handoff finished once by the final Finish below
+		sh.wrSeg = seg
 		deferred, err := sh.writeSegment(span, s, seg)
-		sh.curOp = prevOp
 		if err != nil {
-			sh.lockReleasing()
-			sh.mu.Unlock()
-			return span.End(), err
+			sh.wrUpdates = updates
+			return err
 		}
-		updates[sh.idx] = append(updates[sh.idx], deferred...)
-		sh.lockReleasing()
-		sh.mu.Unlock()
+		updates = append(updates, deferred...)
 	}
-	for i, sh := range e.shards {
-		if !touched[i] {
-			continue
-		}
-		t0 := sh.lockClock()
-		sh.mu.Lock()
-		sh.lockAcquired(t0)
-		if u := updates[i]; len(u) > 0 {
-			prevOp := sh.curOp
-			sh.curOp = op //eplog:span-handoff finished once by the final Finish below
-			err := sh.updatePath(span, u)
-			sh.curOp = prevOp
-			if err != nil {
-				sh.lockReleasing()
-				sh.mu.Unlock()
-				return span.End(), err
-			}
-		}
-		if e.cfg.CommitEvery > 0 {
-			sh.reqSinceCommit++
-			if sh.reqSinceCommit >= e.cfg.CommitEvery {
-				sh.cause = causeEvery
-				e.gc.enqueue(sh)
-			}
-		}
-		// Log-region pressure: fold the shard before its private region
-		// forces a synchronous commit inside a foreground flushGroup.
-		if region := sh.logLimit - sh.logStart; sh.logCursor-sh.logStart >= region-(region/4) {
-			sh.cause = causePressure
-			e.gc.enqueue(sh)
-		}
-		sh.lockReleasing()
-		sh.mu.Unlock()
+	sh.wrUpdates = updates
+	if len(updates) == 0 {
+		return nil
 	}
-	end := span.End()
-	e.bumpVnow(end)
-	e.mWriteLat.Observe(end - start)
-	e.obs.Emit(obs.Event{Kind: obs.KindWrite, T: start, Dur: end - start, Dev: -1, LBA: lba, N: nChunks})
-	return end, nil
+	return sh.updatePath(span, updates)
 }
 
 // writeSegment routes one stripe's worth of a request, returning any

@@ -181,6 +181,11 @@ type Server struct {
 	gate       gate
 	refreshing atomic.Bool
 
+	// writeOps and writeSpans are runWrites' engine batch and net spans,
+	// owned by the single write dispatcher and reused across batches.
+	writeOps   []core.BatchOp
+	writeSpans []*obs.Span
+
 	connMu   sync.Mutex
 	conns    map[*conn]struct{}
 	draining bool
@@ -469,8 +474,9 @@ func (s *Server) runBatch(batch []*request) {
 // runWrites pushes one contiguous run of WRITE frames through the engine
 // as a single batch and responds per op.
 func (s *Server) runWrites(run []*request, root *obs.Span) {
-	ops := make([]core.BatchOp, len(run))
-	spans := make([]*obs.Span, len(run))
+	ops := append(s.writeOps[:0], make([]core.BatchOp, len(run))...)
+	spans := append(s.writeSpans[:0], make([]*obs.Span, len(run))...)
+	s.writeOps, s.writeSpans = ops, spans
 	for i, r := range run {
 		n := int64(len(r.f.Payload) / s.csize)
 		ops[i] = core.BatchOp{LBA: r.f.Arg, Data: r.f.Payload}
@@ -492,6 +498,9 @@ func (s *Server) runWrites(run []*request, root *obs.Span) {
 		wire.PutPayload(&r.f) // engine has copied the data out
 		s.respond(r, &wire.Frame{Type: wire.TWrite | wire.RespFlag, ReqID: r.f.ReqID, Arg: r.f.Arg, Count: count})
 	}
+	// The payloads went back to the pool above: drop the references.
+	clear(ops)
+	clear(spans)
 }
 
 // readDispatch is the single read dispatcher: it drains the
